@@ -37,7 +37,7 @@ module Scratch = struct
     s
 end
 
-let distances_impl g s ~bound ~stop_at =
+let distances_impl g s ~bound =
   let n = Csr.n g in
   let sc = Scratch.get n in
   let dist = Array.make n (-1) in
@@ -47,24 +47,16 @@ let distances_impl g s ~bound ~stop_at =
   queue.(0) <- s;
   tail := 1;
   let frontier_peak = ref 1 in
-  (* Early exit at *discovery* of [stop_at], not at pop: on dense graphs the
-     final BFS layer dominates the work and the target is usually discovered
-     long before its layer is settled. *)
-  let finished = ref (stop_at = s) in
-  while (not !finished) && !head < !tail do
+  while !head < !tail do
     let v = queue.(!head) in
     incr head;
-    if dist.(v) < bound then begin
-      try
-        Csr.iter_neighbors g v (fun u ->
-            if dist.(u) < 0 then begin
-              dist.(u) <- dist.(v) + 1;
-              if u = stop_at then raise Exit;
-              queue.(!tail) <- u;
-              incr tail
-            end)
-      with Exit -> finished := true
-    end;
+    if dist.(v) < bound then
+      Csr.iter_neighbors g v (fun u ->
+          if dist.(u) < 0 then begin
+            dist.(u) <- dist.(v) + 1;
+            queue.(!tail) <- u;
+            incr tail
+          end);
     if !tail - !head > !frontier_peak then frontier_peak := !tail - !head
   done;
   if !Obs.metrics then begin
@@ -74,10 +66,15 @@ let distances_impl g s ~bound ~stop_at =
   end;
   dist
 
-(* Scalar point-to-point query on the scratch arena: same traversal as
+(* Scalar point-to-point BFS on the scratch arena: same traversal as
    [distances_impl] but the dist array is epoch-stamped and reused, so the
-   per-edge certification path allocates nothing at all. *)
-let distance_impl g s t ~bound =
+   per-edge certification path allocates nothing at all.  On return, node [w]
+   was reached iff [stamp.(w) = epoch], with its hop count in [dist.(w)];
+   both stay valid until the domain's next [Scratch.get].  The search stops
+   at the *discovery* of [t], not at its pop: on dense graphs the final BFS
+   layer dominates the work and the target is usually discovered long before
+   its layer is settled. *)
+let stamped_bfs g s t ~bound =
   let n = Csr.n g in
   let sc = Scratch.get n in
   let dist = sc.Scratch.dist
@@ -113,11 +110,15 @@ let distance_impl g s t ~bound =
     Metrics.add m_visited !tail;
     Metrics.set_gauge m_frontier !frontier_peak
   end;
-  if stamp.(t) = ep then dist.(t) else -1
+  sc
 
-let distances g s = distances_impl g s ~bound:max_int ~stop_at:(-1)
+let distance_impl g s t ~bound =
+  let sc = stamped_bfs g s t ~bound in
+  if sc.Scratch.stamp.(t) = sc.Scratch.epoch then sc.Scratch.dist.(t) else -1
 
-let distances_bounded g s ~bound = distances_impl g s ~bound ~stop_at:(-1)
+let distances g s = distances_impl g s ~bound:max_int
+
+let distances_bounded g s ~bound = distances_impl g s ~bound
 
 let distance g u v = if u = v then 0 else distance_impl g u v ~bound:max_int
 
@@ -133,15 +134,16 @@ let distance_bounded g u v ~bound =
 let path_impl g u v ~choose =
   if u = v then Some [| u |]
   else begin
-    let dist = distances_impl g u ~bound:max_int ~stop_at:v in
-    if dist.(v) < 0 then None
+    let sc = stamped_bfs g u v ~bound:max_int in
+    let dist = sc.Scratch.dist and stamp = sc.Scratch.stamp and ep = sc.Scratch.epoch in
+    if stamp.(v) <> ep then None
     else begin
       let rec build node acc =
         if node = u then node :: acc
         else begin
           let preds = ref [] in
           Csr.iter_neighbors g node (fun w ->
-              if dist.(w) >= 0 && dist.(w) = dist.(node) - 1 then preds := w :: !preds);
+              if stamp.(w) = ep && dist.(w) = dist.(node) - 1 then preds := w :: !preds);
           let parent = choose (List.sort compare !preds) in
           build parent (node :: acc)
         end

@@ -1,8 +1,15 @@
-let matvec g src dst =
-  let n = Csr.n g in
-  for v = 0 to n - 1 do
+(* The vector kernels are plain loops over unboxed float arrays: no closure
+   captures an accumulator, so nothing is boxed per arc or per entry.  Every
+   sum runs in index order (rows ascending, as [Csr.iter_neighbors] visits
+   them), so the results are bit-identical to the closure formulation that
+   test/oracles.ml keeps. *)
+let matvec (g : Csr.t) src dst =
+  let xadj = g.Csr.xadj and adjncy = g.Csr.adjncy in
+  for v = 0 to g.Csr.n - 1 do
     let acc = ref 0.0 in
-    Csr.iter_neighbors g v (fun u -> acc := !acc +. src.(u));
+    for i = xadj.{v} to xadj.{v + 1} - 1 do
+      acc := !acc +. src.(adjncy.{i})
+    done;
     dst.(v) <- !acc
   done
 
@@ -11,17 +18,34 @@ let matvec g src dst =
 let deflate_ones vec =
   let n = Array.length vec in
   if n > 0 then begin
-    let mean = Array.fold_left ( +. ) 0.0 vec /. float_of_int n in
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      sum := !sum +. vec.(i)
+    done;
+    let mean = !sum /. float_of_int n in
     for i = 0 to n - 1 do
       vec.(i) <- vec.(i) -. mean
     done
   end
 
-let norm vec = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 vec)
+let dot a b =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. (a.(i) *. b.(i))
+  done;
+  !acc
+
+let norm vec = sqrt (dot vec vec)
+
+(* [dst.(i) <- src.(i) /. d] *)
+let div_into src d dst =
+  for i = 0 to Array.length src - 1 do
+    dst.(i) <- src.(i) /. d
+  done
 
 let normalize vec =
   let len = norm vec in
-  if len > 0.0 then Array.iteri (fun i x -> vec.(i) <- x /. len) vec
+  if len > 0.0 then div_into vec len vec
 
 let lambda ?(iterations = 300) ?(seed = 0x5eed) g =
   let n = Csr.n g in
@@ -53,11 +77,6 @@ let expansion_ratio ?iterations ?seed g =
 let is_expander ?(threshold = 0.5) g = expansion_ratio g <= threshold
 
 (* ---- Lanczos with full reorthogonalization on the deflated operator ---- *)
-
-let dot a b =
-  let acc = ref 0.0 in
-  Array.iteri (fun i x -> acc := !acc +. (x *. b.(i))) a;
-  !acc
 
 (* Number of eigenvalues of the symmetric tridiagonal (alpha, beta) smaller
    than x, by the Sturm sequence / LDL^T sign count. *)
@@ -124,15 +143,17 @@ let lambda_lanczos ?(iterations = 60) ?(seed = 0x5eed) g =
          alpha.(j) <- dot w v;
          (* full reorthogonalization against the stored basis *)
          for i = 0 to j do
-           let c = dot w basis.(i) in
-           Array.iteri (fun idx x -> w.(idx) <- x -. (c *. basis.(i).(idx))) w
+           let c = dot w basis.(i) and b = basis.(i) in
+           for idx = 0 to n - 1 do
+             w.(idx) <- w.(idx) -. (c *. b.(idx))
+           done
          done;
          incr steps;
          if j < m - 1 then begin
            let b = norm w in
            if b < 1e-10 then raise Exit;
            beta.(j) <- b;
-           Array.iteri (fun idx x -> v.(idx) <- x /. b) w
+           div_into w b v
          end
        done
      with Exit -> ());

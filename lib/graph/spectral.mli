@@ -8,6 +8,11 @@
     deflation recovers.  Every expander experiment in the benchmark harness
     *measures* this quantity instead of assuming it (DESIGN.md §3.1). *)
 
+val matvec : Csr.t -> float array -> float array -> unit
+(** [matvec g src dst] sets [dst] to [A·src] for the adjacency matrix [A] of
+    [g], summing each row in ascending neighbor order.  Allocation-free: the
+    power-iteration and Lanczos loops below call it once per step. *)
+
 val lambda : ?iterations:int -> ?seed:int -> Csr.t -> float
 (** [lambda g] estimates [max(|λ₂|, |λₙ|)] of the adjacency matrix by power
     iteration on the complement of the all-ones vector.  Intended for regular

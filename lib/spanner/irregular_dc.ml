@@ -10,59 +10,12 @@ let build ?(repair = true) rng g =
       let rho = 1.0 /. sqrt (float_of_int d) in
       if Prng.bool rng rho then ignore (Graph.add_edge sampled u v));
   (* Support-based reinsertion with per-edge thresholds. *)
-  let bm = Bitmat.of_graph g in
   let a = max 2 (int_of_float (ceil (log (float_of_int (max 2 n))))) in
-  let spanner = Graph.copy sampled in
-  let reinserted = ref 0 in
-  Graph.iter_edges g (fun u v ->
-      if not (Graph.mem_edge spanner u v) then begin
-        let b = max 1 (local_degree u v / 4) in
-        if not (Support.is_ab_supported g bm u v ~a ~b) then begin
-          ignore (Graph.add_edge spanner u v);
-          incr reinserted
-        end
-      end);
-  (* Repair pass: identical to Regular_dc. *)
-  let repaired = ref 0 in
-  if repair then begin
-    let missing = ref [] in
-    Graph.iter_edges g (fun u v ->
-        if not (Graph.mem_edge spanner u v) then begin
-          let has_detour =
-            Support.two_detours spanner ~u ~v ~cap:1 <> []
-            || Support.three_detours spanner ~u ~v ~cap:1 <> []
-          in
-          if not has_detour then missing := (u, v) :: !missing
-        end);
-    List.iter
-      (fun (u, v) ->
-        ignore (Graph.add_edge spanner u v);
-        incr repaired)
-      !missing
-  end;
-  { spanner; sampled; reinserted = !reinserted; repaired = !repaired }
+  let b u v = max 1 (local_degree u v / 4) in
+  let spanner, reinserted = Support.reinsert g sampled ~a ~b in
+  let repaired = if repair then Support.repair g spanner else 0 in
+  { spanner; sampled; reinserted; repaired }
 
 let to_dc ?(detour_cap = 64) t g =
-  let h = t.spanner in
-  let csr = lazy (Csr.snapshot h) in
-  let route_matching rng pairs =
-    Array.map
-      (fun (u, v) ->
-        if Graph.mem_edge h u v then [| u; v |]
-        else begin
-          let twos = Support.two_detours h ~u ~v ~cap:detour_cap in
-          let threes = Support.three_detours h ~u ~v ~cap:detour_cap in
-          let candidates =
-            List.map (fun x -> [| u; x; v |]) twos
-            @ List.map (fun (x, z) -> [| u; x; z; v |]) threes
-          in
-          match candidates with
-          | [] -> (
-              match Bfs.shortest_path (Lazy.force csr) u v with
-              | Some p -> p
-              | None -> invalid_arg "Irregular_dc: spanner disconnected for pair")
-          | _ -> Prng.pick rng (Array.of_list candidates)
-        end)
-      pairs
-  in
-  { Dc.name = "irregular"; graph = g; spanner = h; route_matching }
+  let route_matching = Support.route_matching (Support.detours ~cap:detour_cap t.spanner) in
+  { Dc.name = "irregular"; graph = g; spanner = t.spanner; route_matching }

@@ -46,81 +46,30 @@ let build ?(thresholds = Scaled) ?(repair = true) rng g =
   (* Line 8-9: reinsert edges that are not (a, b)-supported in any direction. *)
   let spanner, reinserted =
     Trace.with_span ~name:"spanner.sparsify" (fun () ->
-        let bm = Bitmat.of_graph g in
-        let spanner = Graph.copy sampled in
-        let reinserted = ref 0 in
-        Graph.iter_edges g (fun u v ->
-            if
-              (not (Graph.mem_edge spanner u v))
-              && not (Support.is_ab_supported g bm u v ~a:support_a ~b:support_b)
-            then begin
-              ignore (Graph.add_edge spanner u v);
-              incr reinserted
-            end);
-        (spanner, reinserted))
+        Support.reinsert g sampled ~a:support_a ~b:(fun _ _ -> support_b))
   in
-  Metrics.add m_reinserted !reinserted;
+  Metrics.add m_reinserted reinserted;
   (* Repair pass: a supported removed edge is safe only if one of its
      3-detours survived the sampling (Corollary 2 makes failures rare but
      possible); reinserting the stragglers makes stretch 3 unconditional. *)
-  let repaired = ref 0 in
-  if repair then
-    Trace.with_span ~name:"spanner.repair" (fun () ->
-        let missing = ref [] in
-        Graph.iter_edges g (fun u v ->
-            if not (Graph.mem_edge spanner u v) then begin
-              let has_detour =
-                Support.two_detours spanner ~u ~v ~cap:1 <> []
-                || Support.three_detours spanner ~u ~v ~cap:1 <> []
-              in
-              if not has_detour then missing := (u, v) :: !missing
-            end);
-        List.iter
-          (fun (u, v) ->
-            ignore (Graph.add_edge spanner u v);
-            incr repaired)
-          !missing);
-  Metrics.add m_repaired !repaired;
+  let repaired =
+    if repair then Trace.with_span ~name:"spanner.repair" (fun () -> Support.repair g spanner)
+    else 0
+  in
+  Metrics.add m_repaired repaired;
   {
     spanner;
     sampled;
-    reinserted = !reinserted;
-    repaired = !repaired;
+    reinserted;
+    repaired;
     support_a;
     support_b;
     delta;
     delta';
   }
 
-let router t ~detour_cap rng pairs =
-  let h = t.spanner in
-  let csr = lazy (Csr.snapshot h) in
-  Array.map
-    (fun (u, v) ->
-      if Graph.mem_edge h u v then [| u; v |]
-      else begin
-        (* Candidate replacements: 2-detours u–x–v and 3-detours u–x–z–v
-           surviving in H; uniform random choice spreads the congestion
-           (Lemma 17 / proof of Lemma 7). *)
-        let twos = Support.two_detours h ~u ~v ~cap:detour_cap in
-        let threes = Support.three_detours h ~u ~v ~cap:detour_cap in
-        let candidates =
-          List.map (fun x -> [| u; x; v |]) twos
-          @ List.map (fun (x, z) -> [| u; x; z; v |]) threes
-        in
-        match candidates with
-        | [] -> (
-            match Bfs.shortest_path (Lazy.force csr) u v with
-            | Some p -> p
-            | None -> invalid_arg "Regular_dc.router: spanner disconnected for pair")
-        | _ -> Prng.pick rng (Array.of_list candidates)
-      end)
-    pairs
-
+(* Candidate replacements are the 2- and 3-detours surviving in H; a uniform
+   random choice spreads the congestion (Lemma 17 / proof of Lemma 7). *)
 let to_dc ?(detour_cap = 64) t g =
-  {
-    Dc.name = "algorithm1";
-    graph = g;
-    spanner = t.spanner;
-    route_matching = (fun rng pairs -> router t ~detour_cap rng pairs);
-  }
+  let route_matching = Support.route_matching (Support.detours ~cap:detour_cap t.spanner) in
+  { Dc.name = "algorithm1"; graph = g; spanner = t.spanner; route_matching }

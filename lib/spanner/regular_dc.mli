@@ -46,12 +46,8 @@ val build : ?thresholds:thresholds -> ?repair:bool -> Prng.t -> Graph.t -> t
     (near-)regular; [Δ] is taken as the maximum degree.  Deterministic given
     the generator state. *)
 
-val router : t -> detour_cap:int -> Prng.t -> (int * int) array -> Routing.path array
-(** The Lemma 17 matching router: requests that are spanner edges are routed
-    directly; removed edges over a uniformly random surviving 2- or 3-detour
-    (at most [detour_cap] candidates are enumerated).  Falls back to a
-    BFS shortest path in [H] if no detour survived (counted by Corollary 2
-    as a low-probability event).  Paths are oriented first→second. *)
-
 val to_dc : ?detour_cap:int -> t -> Graph.t -> Dc.t
-(** Package as a {!Dc.t} (detour cap defaults to 64). *)
+(** Package as a {!Dc.t} with the Lemma 17 router ({!Support.route_matching}):
+    a removed edge takes a uniformly random surviving 2- or 3-detour (at most
+    [detour_cap], default 64, of each kind), or a BFS shortest path in [H] if
+    none survived (Corollary 2's rare event).  Paths are oriented first→second. *)

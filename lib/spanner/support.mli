@@ -23,11 +23,6 @@ val supported_extensions : Graph.t -> Bitmat.t -> u:int -> v:int -> a:int -> int
 (** [supported_extensions g bm ~u ~v ~a] lists the routers [z] of
     [a]-supported extensions [(v, z)] of the edge [(u, v)] toward [v]. *)
 
-val count_supported_extensions :
-  Graph.t -> Bitmat.t -> u:int -> v:int -> a:int -> limit:int -> int
-(** Same as above but only counts, stopping early at [limit] (the census and
-    Algorithm 1 only need threshold comparisons). *)
-
 val is_ab_supported_toward : Graph.t -> Bitmat.t -> u:int -> v:int -> a:int -> b:int -> bool
 (** Whether edge [(u,v)] is [(a,b)]-supported toward [v]. *)
 
@@ -35,15 +30,35 @@ val is_ab_supported : Graph.t -> Bitmat.t -> int -> int -> a:int -> b:int -> boo
 (** Whether the edge is [(a,b)]-supported toward at least one direction —
     the membership test for [Ê] in Algorithm 1 (line 8). *)
 
-val three_detours : Graph.t -> u:int -> v:int -> cap:int -> (int * int) list
-(** [three_detours h ~u ~v ~cap] enumerates up to [cap] pairs [(x, z)] such
-    that [u–x–z–v] is a path in [h] avoiding the edge [(u,v)] itself
-    ([x ≠ v], [z ≠ u], [x ≠ z]).  These are the candidate replacement paths
-    for a removed edge. *)
+val reinsert : Graph.t -> Graph.t -> a:int -> b:(int -> int -> int) -> Graph.t * int
+(** [reinsert g sampled ~a ~b] is a copy of [sampled] plus every edge
+    [(u,v)] of [g] that is not [(a, b u v)]-supported in either direction
+    (Algorithm 1, lines 8–9), and the number of edges it put back. *)
 
-val two_detours : Graph.t -> u:int -> v:int -> cap:int -> int list
-(** Up to [cap] common neighbors [x] of [u] and [v] in [h]: 2-hop
-    replacements [u–x–v]. *)
+type detours
+(** Marker-array detour kernel over a graph [H]: O(n) stamps marking [N_H(u)]
+    and [N_H(v)], re-set only when [u]/[v] changes or [H] is mutated (mutable
+    scratch: one per domain).  A detour of the pair [(u,v)] avoids the edge
+    [(u,v)]: a 2-detour [u–x–v], or a 3-detour [u–x–z–v] with [x ≠ v],
+    [z ≠ u], [x ≠ z]; [detours ~cap h] lists at most [cap] (default 64). *)
+
+val detours : ?cap:int -> Graph.t -> detours
+
+val has_short_detour : detours -> u:int -> v:int -> bool
+(** Whether [(u,v)] has a detour in [H] — for a non-edge, [d_H(u,v) ≤ 3]. *)
+
+val detour_candidates : detours -> u:int -> v:int -> Routing.path array
+(** The router's candidates: 2-detours [[|u; x; v|]], then 3-detours
+    [[|u; x; z; v|]], each latest-found first along [Graph.iter_neighbors]. *)
+
+val repair : Graph.t -> Graph.t -> int
+(** [repair g h] adds to [h] every edge of [g] missing from [h] without a
+    detour in [h] (Algorithm 1's repair pass); returns how many. *)
+
+val route_matching : detours -> Prng.t -> (int * int) array -> Routing.path array
+(** The Lemma 17 router: an edge of [H] routes directly, a removed edge over
+    a uniform pick from {!detour_candidates}, else over a BFS shortest path
+    ([Invalid_argument] if [H] disconnects it). *)
 
 type census = {
   edges_total : int;

@@ -1,7 +1,9 @@
 (* Bit-parallel kernel tests: the batched BFS (Bfs_batch) and everything
    rebuilt on top of it (Stretch certification, all-pairs distances,
    eccentricity/diameter signalling) must be bit-identical to the scalar
-   reference paths, on connected and disconnected graphs alike. *)
+   reference paths, on connected and disconnected graphs alike.  The detour
+   kernel, the spectral loops and BFS path extraction must agree exactly
+   with the reference copies in oracles.ml. *)
 
 let check = Alcotest.check
 
@@ -200,6 +202,155 @@ let test_scratch_resizes () =
       check Alcotest.int "cycle distance" (n / 2) (Bfs.distance c 0 (n / 2)))
     [ 4; 64; 8; 128; 6 ]
 
+(* ---- Detour kernel, allocation-free spectral loops and path extraction
+   vs the reference copies in oracles.ml ---- *)
+
+let graph_pair_gen =
+  (* (seed, n, density %, keep %): G from sparse to dense, H a random
+     subgraph from nearly empty to nearly all of G *)
+  QCheck.(quad small_int (int_range 2 36) (int_range 0 100) (int_range 0 100))
+
+let subgraph_of (seed, n, pct, keep) =
+  random_graph seed n (float_of_int pct /. 100.0 *. 0.5)
+  |> random_subgraph (seed + 1) (float_of_int keep /. 100.0)
+
+(* every ordered pair, row-major (reuses the marks of u) then column-major
+   (re-marks on every query) *)
+let for_all_pairs n f =
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v && not (f u v) then ok := false
+    done
+  done;
+  for v = 0 to n - 1 do
+    for u = 0 to n - 1 do
+      if u <> v && not (f u v) then ok := false
+    done
+  done;
+  !ok
+
+(* [agree] over all pairs, then around a removal of an edge (a, b) of [h]:
+   queries from [a] just before and just after it, so a kernel still holding
+   the old N_H(a) would answer wrongly *)
+let agrees_under_mutation h agree =
+  let from a = List.for_all (fun v -> v = a || agree a v) (List.init (Graph.n h) Fun.id) in
+  for_all_pairs (Graph.n h) agree
+  &&
+  match Graph.edges h with
+  | [] -> true
+  | (a, b) :: _ ->
+      let before = from a in
+      ignore (Graph.remove_edge h a b);
+      before && from a && for_all_pairs (Graph.n h) agree
+
+let prop_short_detour_matches_oracle =
+  QCheck.Test.make ~name:"has_short_detour = 2/3-detour enumeration non-empty" ~count:80
+    graph_pair_gen (fun params ->
+      let h = subgraph_of params in
+      let k = Support.detours h in
+      agrees_under_mutation h (fun u v ->
+          Support.has_short_detour k ~u ~v = Oracles.has_short_detour h ~u ~v))
+
+let prop_candidates_match_oracle =
+  QCheck.Test.make ~name:"detour candidate lists = enumeration oracle" ~count:60
+    graph_pair_gen (fun params ->
+      let h = subgraph_of params in
+      let kernels = List.map (fun cap -> (cap, Support.detours ~cap h)) [ 0; 1; 3; 64 ] in
+      let agree u v =
+        List.for_all
+          (fun (cap, k) ->
+            Support.detour_candidates k ~u ~v
+            = Array.of_list (Oracles.detour_candidates h ~u ~v ~cap))
+          kernels
+      in
+      let mutated = agrees_under_mutation h agree in
+      (* a committed H iterates its rows in a different order *)
+      ignore (Csr.snapshot h);
+      mutated && for_all_pairs (Graph.n h) agree)
+
+(* route the same matchings through a DC-spanner's router and the oracle
+   router from equal generator states: paths (or a disconnection error) and
+   the generators' final states must agree.  The oracle routes over a copy
+   of H taken first: a BFS fallback commits H's delta log, which reorders
+   its neighbor scans for the pairs after it. *)
+let routers_agree g (dc : Dc.t) ~cap seed =
+  let rng = Prng.create seed in
+  let route f = try Some (f ()) with Invalid_argument _ -> None in
+  List.for_all
+    (fun _ ->
+      let pairs = Matching.random_maximal rng g in
+      let r1 = Prng.copy rng and r2 = Prng.copy rng in
+      let h = Graph.copy dc.Dc.spanner in
+      let got = route (fun () -> dc.Dc.route_matching r1 pairs) in
+      let want = route (fun () -> Oracles.route_matching h ~cap r2 pairs) in
+      ignore (Prng.int64 rng);
+      got = want && Prng.int64 r1 = Prng.int64 r2)
+    [ 1; 2; 3 ]
+
+let prop_regular_router_matches_oracle =
+  QCheck.Test.make ~name:"Regular_dc router = oracle router" ~count:30
+    QCheck.(triple small_int bool (int_range 1 64))
+    (fun (seed, repair, cap) ->
+      let rng = Prng.create seed in
+      let n = 40 + (2 * (seed mod 10)) in
+      let g = Generators.random_regular rng n (8 + (seed mod 7)) in
+      let t = Regular_dc.build ~repair rng g in
+      routers_agree g (Regular_dc.to_dc ~detour_cap:cap t g) ~cap seed)
+
+let prop_irregular_router_matches_oracle =
+  QCheck.Test.make ~name:"Irregular_dc router = oracle router" ~count:30
+    QCheck.(triple small_int bool (int_range 1 64))
+    (fun (seed, repair, cap) ->
+      let rng = Prng.create seed in
+      let g = random_graph seed 50 0.3 in
+      let t = Irregular_dc.build ~repair rng g in
+      routers_agree g (Irregular_dc.to_dc ~detour_cap:cap t g) ~cap seed)
+
+let bits = Array.map Int64.bits_of_float
+
+let prop_matvec_bit_identical =
+  QCheck.Test.make ~name:"Spectral.matvec bit-identical to closure matvec" ~count:60
+    QCheck.(triple small_int (int_range 1 60) (int_range 0 100))
+    (fun (seed, n, pct) ->
+      let c = Csr.snapshot (random_graph seed n (float_of_int pct /. 100.0 *. 0.5)) in
+      let rng = Prng.create seed in
+      let x = Array.init n (fun _ -> (Prng.float rng -. 0.5) *. 1e3) in
+      let got = Array.make n nan and want = Array.make n nan in
+      Spectral.matvec c x got;
+      Oracles.matvec c x want;
+      bits got = bits want)
+
+let test_lambda_bit_identical () =
+  List.iter
+    (fun (name, g) ->
+      let c = Csr.snapshot g in
+      check Alcotest.int64 name
+        (Int64.bits_of_float (Oracles.lambda ~iterations:80 c))
+        (Int64.bits_of_float (Spectral.lambda ~iterations:80 c)))
+    [
+      ("regular", Generators.random_regular (Prng.create 3) 200 12);
+      ("torus", Generators.torus 9 11);
+      ("sparse erdos", random_graph 4 120 0.03);
+    ]
+
+let prop_paths_match_oracle =
+  QCheck.Test.make ~name:"shortest_path / random_shortest_path = reference copy" ~count:60
+    QCheck.(triple small_int (int_range 1 40) (int_range 0 100))
+    (fun (seed, n, pct) ->
+      (* pct near 0: mostly disconnected pairs *)
+      let c = Csr.snapshot (random_graph seed n (float_of_int pct /. 100.0 *. 0.3)) in
+      let r1 = Prng.create seed and r2 = Prng.create seed in
+      for_all_pairs n (fun u v ->
+          let same =
+            Bfs.shortest_path c u v = Oracles.shortest_path c u v
+            && Bfs.random_shortest_path c r1 u v = Oracles.random_shortest_path c r2 u v
+          in
+          (* interleave another scratch-arena query between path extractions *)
+          ignore (Bfs.distance c v u);
+          same)
+      && Prng.int64 r1 = Prng.int64 r2)
+
 (* ---- unsafe-site oracles ----
 
    bfs_batch.ml, bitmat.ml and csr.ml are the only modules allowed to use
@@ -319,6 +470,18 @@ let () =
         Alcotest.test_case "early exit" `Quick test_saturating_early_exit
         :: q [ prop_saturating_matches_max ] );
       ("scratch", [ Alcotest.test_case "resizes" `Quick test_scratch_resizes ]);
+      ( "detour-kernel",
+        q
+          [
+            prop_short_detour_matches_oracle;
+            prop_candidates_match_oracle;
+            prop_regular_router_matches_oracle;
+            prop_irregular_router_matches_oracle;
+          ] );
+      ( "spectral",
+        Alcotest.test_case "lambda bit-identical" `Quick test_lambda_bit_identical
+        :: q [ prop_matvec_bit_identical ] );
+      ("paths", q [ prop_paths_match_oracle ]);
       ( "unsafe-oracles",
         Alcotest.test_case "degenerate inputs" `Quick test_unsafe_degenerate_inputs
         :: q [ prop_batch_matches_oracle; prop_bitmat_matches_oracle ] );

@@ -125,26 +125,34 @@ let test_complete_graph_support () =
   check Alcotest.bool "beyond max" false
     (Support.is_ab_supported g bm 0 1 ~a:(n - 2) ~b:1)
 
+(* [len]-node candidates (3 = 2-detour, 4 = 3-detour) of the detour kernel *)
+let detours_of_len g ~u ~v ~cap len =
+  Support.detour_candidates (Support.detours ~cap g) ~u ~v
+  |> Array.to_list
+  |> List.filter (fun p -> Array.length p = len)
+
 let test_three_detours () =
   let g = Generators.complete 6 in
   (* 3-detours of (0,1): z in N(1)\{0}, x in N(0) ∩ N(z) \ {0,1,z}:
      4 choices of z, 3 of x. *)
-  let detours = Support.three_detours g ~u:0 ~v:1 ~cap:1000 in
+  let detours = detours_of_len g ~u:0 ~v:1 ~cap:1000 4 in
   check Alcotest.int "count in K6" 12 (List.length detours);
   List.iter
-    (fun (x, z) ->
+    (fun p ->
+      let x = p.(1) and z = p.(2) in
       check Alcotest.bool "path valid" true
-        (Graph.mem_edge g 0 x && Graph.mem_edge g x z && Graph.mem_edge g z 1);
+        (p.(0) = 0 && p.(3) = 1 && Graph.mem_edge g 0 x && Graph.mem_edge g x z
+       && Graph.mem_edge g z 1);
       check Alcotest.bool "avoids endpoints" true (x <> 1 && z <> 0))
     detours;
-  let capped = Support.three_detours g ~u:0 ~v:1 ~cap:5 in
+  let capped = detours_of_len g ~u:0 ~v:1 ~cap:5 4 in
   check Alcotest.int "cap respected" 5 (List.length capped)
 
 let test_two_detours () =
   let g = Generators.complete 6 in
-  check Alcotest.int "common in K6" 4 (List.length (Support.two_detours g ~u:0 ~v:1 ~cap:100));
+  check Alcotest.int "common in K6" 4 (List.length (detours_of_len g ~u:0 ~v:1 ~cap:100 3));
   let path = Generators.path 5 in
-  check Alcotest.int "none on path" 0 (List.length (Support.two_detours path ~u:0 ~v:1 ~cap:10))
+  check Alcotest.int "none on path" 0 (List.length (detours_of_len path ~u:0 ~v:1 ~cap:10 3))
 
 let test_census () =
   let rng = Prng.create 5 in
