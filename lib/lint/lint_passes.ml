@@ -173,7 +173,6 @@ let check_banned_api _ctx src =
 let kernel_allowlist =
   [
     "lib/graph/bfs_batch.ml";
-    "lib/graph/bitmat.ml";
     "lib/graph/csr_store.ml";
     "lib/graph/dijkstra.ml";
   ]
@@ -403,8 +402,8 @@ let all =
       id = "unsafe-audit";
       title = "unsafe accesses confined and justified";
       doc =
-        "Array/Bytes/String/Bigarray.Array1 unsafe_* only in bfs_batch.ml, bitmat.ml, \
-         csr_store.ml, dijkstra.ml, and every site preceded by a (* SAFETY: ... *) comment";
+        "Array/Bytes/String/Bigarray.Array1 unsafe_* only in bfs_batch.ml, csr_store.ml, \
+         dijkstra.ml, and every site preceded by a (* SAFETY: ... *) comment";
       runs_when_typed = false;
       check = check_unsafe_audit;
     };

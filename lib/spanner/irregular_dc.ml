@@ -4,11 +4,14 @@ let build ?(repair = true) rng g =
   let n = Graph.n g in
   let local_degree u v = min (Graph.degree g u) (Graph.degree g v) in
   (* Degree-local sampling: rho_uv = 1/sqrt(min degree of endpoints). *)
-  let sampled = Graph.empty_like g in
-  Graph.iter_edges g (fun u v ->
-      let d = max 1 (local_degree u v) in
-      let rho = 1.0 /. sqrt (float_of_int d) in
-      if Prng.bool rng rho then ignore (Graph.add_edge sampled u v));
+  let sampled =
+    Trace.with_span ~name:"spanner.sampling" (fun () ->
+        let sampled = Graph.empty_like g in
+        Graph.iter_edges g (fun u v ->
+            let rho = 1.0 /. sqrt (float_of_int (max 1 (local_degree u v))) in
+            if Prng.bool rng rho then ignore (Graph.add_edge sampled u v));
+        sampled)
+  in
   (* Support-based reinsertion with per-edge thresholds. *)
   let a = max 2 (int_of_float (ceil (log (float_of_int (max 2 n))))) in
   let b u v = max 1 (local_degree u v / 4) in

@@ -26,9 +26,6 @@ let resolve_thresholds thresholds ~n ~delta ~delta' =
       let b = int_of_float (ceil (c1 *. float_of_int delta)) in
       (a, b)
 
-let m_reinserted = Metrics.counter "spanner.reinserted"
-let m_repaired = Metrics.counter "spanner.repaired"
-
 let build ?(thresholds = Scaled) ?(repair = true) rng g =
   let n = Graph.n g in
   let delta = Graph.max_degree g in
@@ -44,19 +41,11 @@ let build ?(thresholds = Scaled) ?(repair = true) rng g =
         sampled)
   in
   (* Line 8-9: reinsert edges that are not (a, b)-supported in any direction. *)
-  let spanner, reinserted =
-    Trace.with_span ~name:"spanner.sparsify" (fun () ->
-        Support.reinsert g sampled ~a:support_a ~b:(fun _ _ -> support_b))
-  in
-  Metrics.add m_reinserted reinserted;
+  let spanner, reinserted = Support.reinsert g sampled ~a:support_a ~b:(fun _ _ -> support_b) in
   (* Repair pass: a supported removed edge is safe only if one of its
      3-detours survived the sampling (Corollary 2 makes failures rare but
      possible); reinserting the stragglers makes stretch 3 unconditional. *)
-  let repaired =
-    if repair then Trace.with_span ~name:"spanner.repair" (fun () -> Support.repair g spanner)
-    else 0
-  in
-  Metrics.add m_repaired repaired;
+  let repaired = if repair then Support.repair g spanner else 0 in
   {
     spanner;
     sampled;

@@ -1,36 +1,118 @@
-let base_support bm u z = Bitmat.common_count bm u z
+(* ---- Support-count kernel ----
+   For a source s, [cnt.(z) = base + |N(s) ∩ N(z)|] for the z the 2-hop walk
+   from s reached, where [base = epoch lsl 32] (counts stay below 2³²); the
+   entries of older epochs stay below [base], so bumping the epoch resets
+   the array for free.  The walk runs over a flat copy of G read through
+   [Graph.iter_neighbors]: G is never committed, because a commit reorders
+   its rows, hence [repair]'s [iter_edges] walk, the order repair adds edges
+   to H and the router's [Prng] draws. *)
 
-let supported_extensions g bm ~u ~v ~a =
-  Graph.fold_neighbors g v
-    (fun acc z ->
-      if z <> u && Bitmat.common_count_at_least bm u z (a + 1) then z :: acc else acc)
-    []
+type counts = {
+  xadj : int array;
+  adj : int array;  (* N(v) at [xadj.(v) .. xadj.(v+1) - 1], in iter_neighbors order *)
+  cnt : int array;
+  mutable base : int;
+  mutable src : int;
+}
 
-let count_supported_extensions g bm ~u ~v ~a ~limit =
-  let count = ref 0 in
-  (try
-     Graph.iter_neighbors g v (fun z ->
-         if z <> u && Bitmat.common_count_at_least bm u z (a + 1) then begin
-           incr count;
-           if !count >= limit then raise Exit
-         end)
-   with Exit -> ());
-  !count
+let counts g =
+  let n = Graph.n g in
+  let xadj = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    xadj.(v + 1) <- xadj.(v) + Graph.degree g v
+  done;
+  let adj = Array.make xadj.(n) 0 in
+  for v = 0 to n - 1 do
+    ignore (Graph.fold_neighbors g v (fun i z -> adj.(i) <- z; i + 1) xadj.(v))
+  done;
+  { xadj; adj; cnt = Array.make n 0; base = 0; src = -1 }
 
-let is_ab_supported_toward g bm ~u ~v ~a ~b =
-  count_supported_extensions g bm ~u ~v ~a ~limit:b >= b
+let fill c s =
+  if c.src <> s then begin
+    c.base <- c.base + (1 lsl 32);
+    c.src <- s;
+    let { xadj; adj; cnt; base; _ } = c in
+    for i = xadj.(s) to xadj.(s + 1) - 1 do
+      let x = adj.(i) in
+      for j = xadj.(x) to xadj.(x + 1) - 1 do
+        let z = adj.(j) in
+        let k = cnt.(z) in
+        cnt.(z) <- (if k < base then base else k) + 1
+      done
+    done
+  end
 
-let is_ab_supported g bm u v ~a ~b =
-  is_ab_supported_toward g bm ~u ~v ~a ~b || is_ab_supported_toward g bm ~u:v ~v:u ~a ~b
+(* #a-supported extensions of (u, v) toward v — z ∈ N(v) \ {u} with
+   |N(u) ∩ N(z)| ≥ a + 1 — stopping at [limit] *)
+let extensions c ~u ~v ~a ~limit =
+  if limit <= 0 then 0
+  else begin
+    fill c u;
+    let { xadj; adj; cnt; base; _ } = c and need = a + 1 in
+    let hits = ref 0 and i = ref xadj.(v) in
+    while !hits < limit && !i < xadj.(v + 1) do
+      let z = adj.(!i) in
+      if z <> u && (if cnt.(z) >= base then cnt.(z) - base else 0) >= need then incr hits;
+      incr i
+    done;
+    !hits
+  end
+
+(* [f u v] for every edge of G not in [skip] that is (a, b u v)-supported in
+   neither direction, in [Graph.iter_edges g] order (the rows of [c] with
+   [u < v]).  Pass 1 tests each edge toward v, grouped by u; pass 2 re-tests
+   the rejects toward u, grouped by v with a counting sort.  So each node's
+   counts are filled at most twice. *)
+let unsupported c ~skip ~a ~b f =
+  let { xadj; adj; _ } = c and n = Array.length c.xadj - 1 in
+  let mark = Array.make n (-1) and pu = Array.make (Array.length adj / 2) 0 in
+  let pv = Array.copy pu and pb = Array.copy pu and np = ref 0 in
+  for u = 0 to n - 1 do
+    Option.iter (fun s -> Graph.iter_neighbors s u (fun v -> mark.(v) <- u)) skip;
+    for i = xadj.(u) to xadj.(u + 1) - 1 do
+      let v = adj.(i) in
+      if u < v && mark.(v) <> u then begin
+        let bv = b u v in
+        if extensions c ~u ~v ~a ~limit:bv < bv then begin
+          pu.(!np) <- u;
+          pv.(!np) <- v;
+          pb.(!np) <- bv;
+          incr np
+        end
+      end
+    done
+  done;
+  let start = Array.make (n + 1) 0 in
+  for k = 0 to !np - 1 do
+    start.(pv.(k) + 1) <- start.(pv.(k) + 1) + 1
+  done;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let by_v = Array.make !np 0 in
+  for k = 0 to !np - 1 do
+    by_v.(start.(pv.(k))) <- k;
+    start.(pv.(k)) <- start.(pv.(k)) + 1
+  done;
+  Array.iter
+    (fun k ->
+      if extensions c ~u:pv.(k) ~v:pu.(k) ~a ~limit:pb.(k) >= pb.(k) then pb.(k) <- 0)
+    by_v;
+  for k = 0 to !np - 1 do
+    if pb.(k) > 0 then f pu.(k) pv.(k)
+  done
+
+let m_reinserted = Metrics.counter "spanner.reinserted"
+let m_repaired = Metrics.counter "spanner.repaired"
 
 let reinsert g sampled ~a ~b =
-  let bm = Bitmat.of_graph g and spanner = Graph.copy sampled and reinserted = ref 0 in
-  Graph.iter_edges g (fun u v ->
-      if not (Graph.mem_edge spanner u v || is_ab_supported g bm u v ~a ~b:(b u v)) then begin
-        ignore (Graph.add_edge spanner u v);
-        incr reinserted
-      end);
-  (spanner, !reinserted)
+  Trace.with_span ~name:"spanner.sparsify" (fun () ->
+      let spanner = Graph.copy sampled and reinserted = ref 0 in
+      unsupported (counts g) ~skip:(Some sampled) ~a ~b (fun u v ->
+          ignore (Graph.add_edge spanner u v);
+          incr reinserted);
+      Metrics.add m_reinserted !reinserted;
+      (spanner, !reinserted))
 
 (* ---- Marker-array detour kernel ----
    [stamp.(x) = epoch] iff [x ∈ N_H(src)]: a membership test is one array read.
@@ -117,11 +199,14 @@ let detour_candidates k ~u ~v =
   Array.init (k.n2 + k.n3) (candidate k ~u ~v)
 
 let repair g h =
-  let k = detours h and missing = ref [] in
-  Graph.iter_edges g (fun u v ->
-      if not (adjacent k ~u ~v || has_short_detour k ~u ~v) then missing := (u, v) :: !missing);
-  List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) !missing;
-  List.length !missing
+  Trace.with_span ~name:"spanner.repair" (fun () ->
+      let k = detours h and missing = ref [] in
+      Graph.iter_edges g (fun u v ->
+          if not (adjacent k ~u ~v || has_short_detour k ~u ~v) then missing := (u, v) :: !missing);
+      List.iter (fun (u, v) -> ignore (Graph.add_edge h u v)) !missing;
+      let repaired = List.length !missing in
+      Metrics.add m_repaired repaired;
+      repaired)
 
 let route_matching k rng pairs =
   let csr = lazy (Csr.snapshot k.h) in
@@ -147,23 +232,24 @@ type census = {
 }
 
 let census ?(sample = 200) ?(cap = 1000) rng g ~a ~b =
-  let bm = Bitmat.of_graph g in
-  let edges = Graph.edge_array g in
-  let total = Array.length edges in
-  let supported = ref 0 in
-  Array.iter (fun (u, v) -> if is_ab_supported g bm u v ~a ~b then incr supported) edges;
+  let c = counts g and edges = Graph.edge_array g in
+  let total = Array.length edges and unsupported_count = ref 0 in
+  unsupported c ~skip:None ~a ~b:(fun _ _ -> b) (fun _ _ -> incr unsupported_count);
   let picked =
     if total <= sample then edges
     else Array.map (fun i -> edges.(i)) (Prng.sample_distinct rng ~n:total ~k:sample)
   in
+  let limit = max 1 cap in
   let extension_counts =
     Array.map
-      (fun (u, v) ->
-        max
-          (count_supported_extensions g bm ~u ~v ~a ~limit:cap)
-          (count_supported_extensions g bm ~u:v ~v:u ~a ~limit:cap))
+      (fun (u, v) -> max (extensions c ~u ~v ~a ~limit) (extensions c ~u:v ~v:u ~a ~limit))
       picked
   in
   let k = detours ~cap g in
   let detour_counts = Array.map (fun (u, v) -> collect k ~u ~v; k.n3) picked in
-  { edges_total = total; edges_supported = !supported; extension_counts; detour_counts }
+  {
+    edges_total = total;
+    edges_supported = total - !unsupported_count;
+    extension_counts;
+    detour_counts;
+  }

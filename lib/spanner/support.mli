@@ -15,25 +15,15 @@
     [(λΔ', c₁Δ)]-supported in some direction — i.e. it has enough 3-detours
     that some survive the sampling w.h.p. *)
 
-val base_support : Bitmat.t -> int -> int -> int
-(** [base_support bm u z = |N(u) ∩ N(z)|], the number of 2-detours with base
-    [{u, z}]. *)
-
-val supported_extensions : Graph.t -> Bitmat.t -> u:int -> v:int -> a:int -> int list
-(** [supported_extensions g bm ~u ~v ~a] lists the routers [z] of
-    [a]-supported extensions [(v, z)] of the edge [(u, v)] toward [v]. *)
-
-val is_ab_supported_toward : Graph.t -> Bitmat.t -> u:int -> v:int -> a:int -> b:int -> bool
-(** Whether edge [(u,v)] is [(a,b)]-supported toward [v]. *)
-
-val is_ab_supported : Graph.t -> Bitmat.t -> int -> int -> a:int -> b:int -> bool
-(** Whether the edge is [(a,b)]-supported toward at least one direction —
-    the membership test for [Ê] in Algorithm 1 (line 8). *)
-
 val reinsert : Graph.t -> Graph.t -> a:int -> b:(int -> int -> int) -> Graph.t * int
 (** [reinsert g sampled ~a ~b] is a copy of [sampled] plus every edge
     [(u,v)] of [g] that is not [(a, b u v)]-supported in either direction
-    (Algorithm 1, lines 8–9), and the number of edges it put back. *)
+    (Algorithm 1, lines 8–9), added in [Graph.iter_edges g] order, and the
+    number of edges it put back.  [b] is called once per edge of [g] missing
+    from [sampled], with [u < v]; [b u v ≤ 0] counts as supported.  Runs on
+    per-source common-neighbor counts over a flat copy of [g]: O(n + m)
+    words, O(Σ_v deg(v)²) time; [g] is only read, never committed.  Traced
+    as the [spanner.sparsify] span; adds to [spanner.reinserted]. *)
 
 type detours
 (** Marker-array detour kernel over a graph [H]: O(n) stamps marking [N_H(u)]
@@ -53,7 +43,8 @@ val detour_candidates : detours -> u:int -> v:int -> Routing.path array
 
 val repair : Graph.t -> Graph.t -> int
 (** [repair g h] adds to [h] every edge of [g] missing from [h] without a
-    detour in [h] (Algorithm 1's repair pass); returns how many. *)
+    detour in [h] (Algorithm 1's repair pass); returns how many.  Traced as
+    the [spanner.repair] span; adds to the [spanner.repaired] counter. *)
 
 val route_matching : detours -> Prng.t -> (int * int) array -> Routing.path array
 (** The Lemma 17 router: an edge of [H] routes directly, a removed edge over
@@ -70,4 +61,5 @@ type census = {
 val census :
   ?sample:int -> ?cap:int -> Prng.t -> Graph.t -> a:int -> b:int -> census
 (** Support census over (a sample of) the edges — the quantitative version of
-    Figures 3–4 printed by the [figures/fig34_support] bench block. *)
+    Figures 3–4 printed by the [figures/fig34_support] bench block.  Extension
+    counts stop at [max 1 cap]. *)

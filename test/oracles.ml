@@ -1,8 +1,80 @@
 (* Reference copies of kernels that lib/ has since replaced with faster,
    allocation-free versions.  They keep the original formulation — list
-   enumeration over [Graph.mem_edge] probes, closure-captured float
-   accumulators, a fresh distance array per BFS — and the property tests
-   assert the library kernels agree with them exactly. *)
+   enumeration over [Graph.mem_edge] probes, a packed adjacency bit-matrix,
+   closure-captured float accumulators, a fresh distance array per BFS — and
+   the property tests assert the library kernels agree with them exactly. *)
+
+(* ---- Packed adjacency bit-matrix (bounds-checked) ---- *)
+
+module Bitmat = struct
+  (* one row of 63-bit words per node: bit [v mod 63] of word [v / 63] of
+     row [u] is set iff [(u, v)] is an edge *)
+  type t = { words : int; rows : int array array }
+
+  let of_graph g =
+    let n = Graph.n g in
+    let words = (n + 62) / 63 in
+    let rows = Array.init n (fun _ -> Array.make words 0) in
+    let set u v = rows.(u).(v / 63) <- rows.(u).(v / 63) lor (1 lsl (v mod 63)) in
+    Graph.iter_edges g (fun u v ->
+        set u v;
+        set v u);
+    { words; rows }
+
+  let popcount x =
+    let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
+    go x 0
+
+  (* [|N(u) ∩ N(z)|], scanning words until [k] common neighbors are found *)
+  let count_upto t u z k =
+    let ru = t.rows.(u) and rz = t.rows.(z) in
+    let acc = ref 0 and i = ref 0 in
+    while !acc < k && !i < t.words do
+      acc := !acc + popcount (ru.(!i) land rz.(!i));
+      incr i
+    done;
+    !acc
+
+  let common_count t u z = count_upto t u z max_int
+  let common_count_at_least t u z k = k <= 0 || count_upto t u z k >= k
+  let mem t u v = t.rows.(u).(v / 63) land (1 lsl (v mod 63)) <> 0
+end
+
+(* ---- (a, b)-support test and reinsertion (Support, before the count kernel) ---- *)
+
+let base_support bm u z = Bitmat.common_count bm u z
+
+let supported_extensions g bm ~u ~v ~a =
+  Graph.fold_neighbors g v
+    (fun acc z ->
+      if z <> u && Bitmat.common_count_at_least bm u z (a + 1) then z :: acc else acc)
+    []
+
+let count_supported_extensions g bm ~u ~v ~a ~limit =
+  let count = ref 0 in
+  (try
+     Graph.iter_neighbors g v (fun z ->
+         if z <> u && Bitmat.common_count_at_least bm u z (a + 1) then begin
+           incr count;
+           if !count >= limit then raise Exit
+         end)
+   with Exit -> ());
+  !count
+
+let is_ab_supported_toward g bm ~u ~v ~a ~b =
+  count_supported_extensions g bm ~u ~v ~a ~limit:b >= b
+
+let is_ab_supported g bm u v ~a ~b =
+  is_ab_supported_toward g bm ~u ~v ~a ~b || is_ab_supported_toward g bm ~u:v ~v:u ~a ~b
+
+let reinsert g sampled ~a ~b =
+  let bm = Bitmat.of_graph g and spanner = Graph.copy sampled and reinserted = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      if not (Graph.mem_edge spanner u v || is_ab_supported g bm u v ~a ~b:(b u v)) then begin
+        ignore (Graph.add_edge spanner u v);
+        incr reinserted
+      end);
+  (spanner, !reinserted)
 
 (* ---- Detour enumeration (Support, before the marker-array kernel) ---- *)
 

@@ -373,7 +373,9 @@ let test_spectral_complete_bipartite () =
 let test_expansion_ratio_star () =
   check (Alcotest.float 1e-6) "empty graph" 0.0 (Spectral.lambda (Csr.snapshot (Graph.create 1)))
 
-(* ---- Bitmat ---- *)
+(* ---- Bitmat (the bit-matrix reference oracle of the support tests) ---- *)
+
+module Bitmat = Oracles.Bitmat
 
 let test_bitmat_matches_common_neighbors () =
   let g = random_graph 21 70 0.12 in

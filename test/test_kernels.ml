@@ -2,8 +2,8 @@
    rebuilt on top of it (Stretch certification, all-pairs distances,
    eccentricity/diameter signalling) must be bit-identical to the scalar
    reference paths, on connected and disconnected graphs alike.  The detour
-   kernel, the spectral loops and BFS path extraction must agree exactly
-   with the reference copies in oracles.ml. *)
+   and support-count kernels, the spectral loops and BFS path extraction
+   must agree exactly with the reference copies in oracles.ml. *)
 
 let check = Alcotest.check
 
@@ -307,6 +307,131 @@ let prop_irregular_router_matches_oracle =
       let t = Irregular_dc.build ~repair rng g in
       routers_agree g (Irregular_dc.to_dc ~detour_cap:cap t g) ~cap seed)
 
+(* ---- support-count kernel vs the bit-matrix oracle ---- *)
+
+let neighbor_rows g = Array.init (Graph.n g) (Graph.neighbors g)
+
+(* the kernel's and the oracle's reinsertion agree on the count and on every
+   neighbor list of the spanner (hence on its delta-log order), and the
+   kernel leaves G's own neighbor order alone *)
+let reinsert_agrees g sampled ~a ~b =
+  let before = neighbor_rows g in
+  let h, r = Support.reinsert g sampled ~a ~b in
+  let rows_unchanged = neighbor_rows g = before in
+  let h', r' = Oracles.reinsert g sampled ~a ~b in
+  r = r' && neighbor_rows h = neighbor_rows h' && rows_unchanged
+
+(* G stored three ways: an uncommitted delta log built by add_edge in a
+   shuffled order, a committed base, or a committed base with deletions and
+   additions on top *)
+let stored seed mode g =
+  let rng = Prng.create seed in
+  let edges = Graph.edge_array g in
+  Prng.shuffle rng edges;
+  let h = Graph.create (Graph.n g) in
+  let cut = if mode = 2 then Array.length edges / 5 else 0 in
+  Array.iteri (fun i (u, v) -> if i >= cut then ignore (Graph.add_edge h u v)) edges;
+  if mode >= 1 then ignore (Graph.snapshot h);
+  if mode = 2 then begin
+    Array.iteri (fun i (u, v) -> if i < cut then ignore (Graph.add_edge h u v)) edges;
+    (* remove a few committed edges, then put half of them back *)
+    Array.iteri
+      (fun i (u, v) -> if i >= cut && i < 2 * cut then ignore (Graph.remove_edge h u v))
+      edges;
+    Array.iteri
+      (fun i (u, v) -> if i >= cut && i < 2 * cut && i mod 2 = 0 then ignore (Graph.add_edge h u v))
+      edges
+  end;
+  h
+
+let support_family seed family =
+  let rng = Prng.create seed in
+  match family with
+  | 0 -> Generators.random_regular rng (2 * (12 + (seed mod 14))) (4 + (seed mod 9))
+  | 1 -> random_graph seed (10 + (seed mod 40)) (0.1 +. (float_of_int (seed mod 5) *. 0.1))
+  | 2 -> Generators.torus (3 + (seed mod 5)) (3 + (seed mod 6))
+  | _ -> Generators.complete (2 + (seed mod 12))
+
+let prop_reinsert_matches_oracle =
+  QCheck.Test.make ~name:"reinsert = bit-matrix oracle (families, storage, a/b edges)"
+    ~count:120
+    QCheck.(
+      pair (triple small_int (int_range 0 3) (int_range 0 2))
+        (triple (int_range (-2) 6) (int_range (-2) 8) (int_range 0 100)))
+    (fun ((seed, family, mode), (a, b, keep)) ->
+      let g = stored seed mode (support_family seed family) in
+      let sampled = random_subgraph (seed + 1) (float_of_int keep /. 100.0) g in
+      (* a constant b, and a per-edge one that also takes values <= 0 *)
+      reinsert_agrees g sampled ~a ~b:(fun _ _ -> b)
+      && reinsert_agrees g sampled ~a ~b:(fun u v ->
+             (min (Graph.degree g u) (Graph.degree g v) / 4) + b - 2 + ((u + v) mod 3)))
+
+let prop_pipelines_match_oracle =
+  QCheck.Test.make ~name:"Regular_dc / Irregular_dc reinsertion = oracle" ~count:40
+    QCheck.(triple small_int (int_range 0 2) (int_range 0 2))
+    (fun (seed, thresholds, mode) ->
+      let rng = Prng.create seed in
+      let n = 2 * (15 + (seed mod 10)) in
+      let g = stored seed mode (Generators.random_regular rng n (6 + (seed mod 9))) in
+      let thresholds =
+        match thresholds with
+        | 0 -> Regular_dc.Scaled
+        | 1 -> Regular_dc.Paper
+        | _ -> Regular_dc.Explicit (seed mod 4, 1 + (seed mod 5))
+      in
+      let t = Regular_dc.build ~thresholds ~repair:false (Prng.create seed) g in
+      let h, r =
+        Oracles.reinsert g t.Regular_dc.sampled ~a:t.Regular_dc.support_a
+          ~b:(fun _ _ -> t.Regular_dc.support_b)
+      in
+      (* Irregular_dc's thresholds: a = max 2 ⌈ln n⌉, b = max 1 (min degree / 4) *)
+      let e = random_graph seed n 0.3 in
+      let ti = Irregular_dc.build ~repair:false (Prng.create seed) e in
+      let a = max 2 (int_of_float (ceil (log (float_of_int n)))) in
+      let hi, ri =
+        Oracles.reinsert e ti.Irregular_dc.sampled ~a ~b:(fun u v ->
+            max 1 (min (Graph.degree e u) (Graph.degree e v) / 4))
+      in
+      r = t.Regular_dc.reinserted
+      && neighbor_rows h = neighbor_rows t.Regular_dc.spanner
+      && ri = ti.Irregular_dc.reinserted
+      && neighbor_rows hi = neighbor_rows ti.Irregular_dc.spanner)
+
+(* The kernel is O(n + m) words; the bit-matrix it replaced was n²/63 words,
+   1.6·10⁸ at this size.  Words allocated = minor + major - promoted (a
+   promoted word is counted in both); [Gc.quick_stat] folds in the current
+   domain's counts only at a minor collection, hence the [Gc.minor] before
+   each read.  Each reinserted edge also costs
+   [Graph.add_edge]'s delta log, about 25 words at this size: a hash-table
+   entry, two list cells with tuples and a share of the commits. *)
+let test_reinsert_memory () =
+  let n = 100_000 in
+  let g = Generators.expander (Prng.create 3) n 16 in
+  let sampled = random_subgraph 4 0.25 g in
+  let bound = 20 * (n + Graph.m g) in
+  let measure ~a ~b =
+    let words () =
+      Gc.minor ();
+      let s = Gc.quick_stat () in
+      s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+    in
+    let before = words () in
+    let _, reinserted = Support.reinsert g sampled ~a ~b:(fun _ _ -> b) in
+    let used = int_of_float (words () -. before) in
+    Printf.printf "a=%d b=%d: %d words, %d reinserted\n" a b used reinserted;
+    (used, reinserted)
+  in
+  (* a = 0, b = 1: the router v makes every base 1-supported, so nothing is
+     reinserted and only the kernel allocates *)
+  let kernel, none = measure ~a:0 ~b:1 in
+  check Alcotest.int "all supported" 0 none;
+  if kernel >= bound then Alcotest.failf "kernel allocated %d words >= %d" kernel bound;
+  (* Algorithm 1's scaled thresholds for Δ = 16: a = ⌈ln n⌉, b = Δ/4 *)
+  let words, reinserted = measure ~a:12 ~b:4 in
+  check Alcotest.bool "reinserts" true (reinserted > 0);
+  let bound = bound + (30 * reinserted) in
+  if words >= bound then Alcotest.failf "reinsert allocated %d words >= %d" words bound
+
 let bits = Array.map Int64.bits_of_float
 
 let prop_matvec_bit_identical =
@@ -353,12 +478,15 @@ let prop_paths_match_oracle =
 
 (* ---- unsafe-site oracles ----
 
-   bfs_batch.ml, bitmat.ml and csr.ml are the only modules allowed to use
-   Array.unsafe_* (enforced by dcs_lint's unsafe-audit pass); every site
-   carries a (* SAFETY: ... *) argument.  These properties back those
-   arguments with an independent, fully bounds-checked oracle written
-   against the plain Graph API — on random graphs including empty,
-   singleton and disconnected inputs. *)
+   The kernels of dcs_lint's unsafe-audit allowlist (bfs_batch.ml among
+   them) may use Array.unsafe_*; every site carries a (* SAFETY: ... *)
+   argument.  These properties back those arguments with an independent,
+   fully bounds-checked oracle written against the plain Graph API — on
+   random graphs including empty, singleton and disconnected inputs.  The
+   bit-matrix reference oracle of the support tests ([Oracles.Bitmat]) is
+   held to the same neighbor-set oracle. *)
+
+module Bitmat = Oracles.Bitmat
 
 (* queue-based BFS over Graph adjacency: no CSR, no bit-packing, no unsafe *)
 let oracle_distances g src =
@@ -482,6 +610,9 @@ let () =
         Alcotest.test_case "lambda bit-identical" `Quick test_lambda_bit_identical
         :: q [ prop_matvec_bit_identical ] );
       ("paths", q [ prop_paths_match_oracle ]);
+      ( "support-kernel",
+        Alcotest.test_case "O(n + m) memory" `Slow test_reinsert_memory
+        :: q [ prop_reinsert_matches_oracle; prop_pipelines_match_oracle ] );
       ( "unsafe-oracles",
         Alcotest.test_case "degenerate inputs" `Quick test_unsafe_degenerate_inputs
         :: q [ prop_batch_matches_oracle; prop_bitmat_matches_oracle ] );

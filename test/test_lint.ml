@@ -132,7 +132,7 @@ let test_banned_api () =
 (* ---- unsafe-audit ---- *)
 
 let test_unsafe_audit () =
-  let kernel = "lib/graph/bitmat.ml" in
+  let kernel = "lib/graph/bfs_batch.ml" in
   fires "unsafe without SAFETY"
     (run_pass "unsafe-audit" ~path:kernel {|let f a = Array.unsafe_get a 0|});
   fires "unsafe outside kernels, even with SAFETY"

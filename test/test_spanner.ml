@@ -76,15 +76,33 @@ let test_stretch_sampled_consistent () =
 
 (* ---- Support structure ---- *)
 
+(* The definitional tests read the bit-matrix reference oracle; the kernel
+   behind [Support.reinsert] answers the same questions through which edges
+   it puts back into an empty sample. *)
+module Bitmat = Oracles.Bitmat
+
+let kernel_supported g u v ~a ~b =
+  let h, _ = Support.reinsert g (Graph.empty_like g) ~a ~b:(fun _ _ -> b) in
+  not (Graph.mem_edge h u v)
+
 let test_base_support_matches_common_neighbors () =
   let g = random_graph 31 40 0.2 in
   let bm = Bitmat.of_graph g in
   for u = 0 to 39 do
     for z = u + 1 to 39 do
       check Alcotest.int "base support" (List.length (Graph.common_neighbors g u z))
-        (Support.base_support bm u z)
+        (Oracles.base_support bm u z)
     done
-  done
+  done;
+  (* with b = 1 an edge is supported iff one of its bases, in either
+     direction, has at least a + 1 routers: the kernel's counts must agree *)
+  Graph.iter_edges g (fun u v ->
+      List.iter
+        (fun a ->
+          check Alcotest.bool "kernel base support"
+            (Oracles.is_ab_supported g bm u v ~a ~b:1)
+            (kernel_supported g u v ~a ~b:1))
+        [ 0; 1; 2 ])
 
 let test_supported_extensions_definition () =
   (* Figure 3.b style hand-built instance: u-v edge; extensions of (u,v)
@@ -105,14 +123,19 @@ let test_supported_extensions_definition () =
   (* Base {0,2} has routers {1,3,4} (the router v=1 itself counts, per the
      paper's "one of the 2-detours is {(u,v)(v,z)}"): it is 3-supported, so
      the extension (1,2) of (0,1) toward 1 is a-supported iff a <= 2. *)
-  let exts2 = Support.supported_extensions g bm ~u:0 ~v:1 ~a:2 in
+  let exts2 = Oracles.supported_extensions g bm ~u:0 ~v:1 ~a:2 in
   check Alcotest.(list int) "a=2 extensions" [ 2 ] (List.sort compare exts2);
-  let exts3 = Support.supported_extensions g bm ~u:0 ~v:1 ~a:3 in
+  let exts3 = Oracles.supported_extensions g bm ~u:0 ~v:1 ~a:3 in
   check Alcotest.(list int) "a=3 extensions" [] exts3;
   check Alcotest.bool "(2,1)-supported toward v" true
-    (Support.is_ab_supported_toward g bm ~u:0 ~v:1 ~a:2 ~b:1);
+    (Oracles.is_ab_supported_toward g bm ~u:0 ~v:1 ~a:2 ~b:1);
   check Alcotest.bool "(2,2)-supported toward v" false
-    (Support.is_ab_supported_toward g bm ~u:0 ~v:1 ~a:2 ~b:2)
+    (Oracles.is_ab_supported_toward g bm ~u:0 ~v:1 ~a:2 ~b:2);
+  (* toward 0 no base of (0,1) reaches 3 routers, so the kernel's verdict is
+     the toward-v one *)
+  check Alcotest.bool "kernel (2,1)" true (kernel_supported g 0 1 ~a:2 ~b:1);
+  check Alcotest.bool "kernel (2,2)" false (kernel_supported g 0 1 ~a:2 ~b:2);
+  check Alcotest.bool "kernel (3,1)" false (kernel_supported g 0 1 ~a:3 ~b:1)
 
 let test_complete_graph_support () =
   (* In K_n every edge is (n-3, n-2)-supported toward each direction:
@@ -121,9 +144,12 @@ let test_complete_graph_support () =
   let g = Generators.complete n in
   let bm = Bitmat.of_graph g in
   check Alcotest.bool "max support" true
-    (Support.is_ab_supported g bm 0 1 ~a:(n - 3) ~b:(n - 2));
+    (Oracles.is_ab_supported g bm 0 1 ~a:(n - 3) ~b:(n - 2));
   check Alcotest.bool "beyond max" false
-    (Support.is_ab_supported g bm 0 1 ~a:(n - 2) ~b:1)
+    (Oracles.is_ab_supported g bm 0 1 ~a:(n - 2) ~b:1);
+  check Alcotest.bool "kernel max support" true
+    (kernel_supported g 0 1 ~a:(n - 3) ~b:(n - 2));
+  check Alcotest.bool "kernel beyond max" false (kernel_supported g 0 1 ~a:(n - 2) ~b:1)
 
 (* [len]-node candidates (3 = 2-detour, 4 = 3-detour) of the detour kernel *)
 let detours_of_len g ~u ~v ~cap len =
